@@ -802,10 +802,14 @@ class KvCsdDevice:
         the timeline sampler and ``repro metrics`` see recovery health
         without reaching into private fields.
         """
-        counters = self.stats.counter_values
+        counters = self.stats.counters()
 
         def counter_gauge(name: str):
-            return lambda: float(counters().get(name, 0))
+            def read() -> float:
+                counter = counters.get(name)
+                return 0.0 if counter is None else float(counter.value)
+
+            return read
 
         gauges = {
             "recovery.count": counter_gauge("recoveries"),

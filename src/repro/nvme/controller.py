@@ -24,7 +24,7 @@ from repro.nvme.commands import (
     ZoneReadCmd,
     ZoneResetCmd,
 )
-from repro.obs.trace import trace_span
+from repro.obs.trace import trace_leaf
 from repro.sim.core import Environment
 from repro.ssd.conventional import ConventionalSsd
 from repro.ssd.zns import ZnsSsd
@@ -63,7 +63,7 @@ class NvmeController:
         self.inflight += 1
         self.max_inflight = max(self.max_inflight, self.inflight)
         try:
-            with trace_span(self.env, "nvme.firmware", "firmware"):
+            with trace_leaf(self.env, "nvme.firmware", "firmware"):
                 yield self.env.timeout(self.firmware_overhead)
             self.commands_executed += 1
             try:

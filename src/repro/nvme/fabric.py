@@ -56,7 +56,7 @@ class NvmeOfLink:
                 yield req
                 yield self.env.timeout(seconds)
             return
-        with tracer.span(
+        with tracer.leaf(
             f"{self.name}.{op}",
             "transport",
             lane=f"{self.name}/{op}",

@@ -35,7 +35,7 @@ from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nvme.controller import NvmeController
-    from repro.obs.trace import Span
+    from repro.obs.trace import OpenSpan
 
 __all__ = ["CommandTicket", "QueuePair", "KvQueuePair"]
 
@@ -48,7 +48,7 @@ class CommandTicket:
                  "_slot", "_reaped", "cp_token")
 
     def __init__(self, cid: int, command: NvmeCommand, op: str, event: Event,
-                 span: Optional["Span"], posted_at: float):
+                 span: Optional["OpenSpan"], posted_at: float):
         self.cid = cid
         self.command = command
         self.op = op
@@ -542,11 +542,13 @@ class KvQueuePair:
 
     def _unpack(self, ticket: CommandTicket, completion: Completion, ctx: Any):
         """Host-side decode of the reaped result (zero-size: no events)."""
-        with trace_span(
-            self.env, "cq.reap", CAT_QUEUE, lane="nvme/kv-cq",
-            cid=ticket.cid, op=ticket.op, status=completion.status,
-        ):
-            pass  # zero-duration marker: the CQE arrival instant
+        tracer = self.env.tracer
+        if tracer is not None:
+            # zero-duration marker: the CQE arrival instant
+            tracer.mark(
+                "cq.reap", CAT_QUEUE, lane="nvme/kv-cq",
+                cid=ticket.cid, op=ticket.op, status=completion.status,
+            )
         if completion.ok and ticket.result_bytes:
             yield from ctx.execute(self.costs.unpack_per_byte * ticket.result_bytes)
 

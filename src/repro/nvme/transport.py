@@ -63,7 +63,7 @@ class PcieLink:
                 yield queued
                 yield self.env.timeout(seconds)
             return
-        with tracer.span(
+        with tracer.leaf(
             f"{self.name}.{op}",
             "transport",
             lane=f"{self.name}/{op}",

@@ -29,6 +29,7 @@ from repro.obs.trace import (
     CAT_TRANSPORT,
     Span,
     Tracer,
+    record_args,
 )
 
 __all__ = [
@@ -44,46 +45,42 @@ BUCKETS = ("queue", "transport", "host_cpu", "soc_cpu", "flash", "firmware", "ot
 
 
 # ---------------------------------------------------------------- chrome trace
-def _effective_lane(span: Span) -> str:
-    node: Optional[Span] = span
-    while node is not None:
-        if node.lane is not None:
-            return node.lane
-        node = node.parent
-    root = span
-    while root.parent is not None:
-        root = root.parent
-    return f"ops/{root.name}"
-
-
 def to_chrome_trace(tracer: Tracer, timeline: Optional[Any] = None) -> dict[str, Any]:
     """Render every recorded span as a Chrome-trace JSON object.
 
-    When a :class:`~repro.obs.timeline.TimelineRecorder` is given, its
-    series are appended as counter (``ph: "C"``) tracks, so queue-depth and
+    A span without a lane of its own renders in its nearest ancestor's lane,
+    or in ``ops/<root name>`` when no ancestor has one.  When a
+    :class:`~repro.obs.timeline.TimelineRecorder` is given, its series are
+    appended as counter (``ph: "C"``) tracks, so queue-depth and
     windowed-p99 curves render directly under the span timeline on the same
     virtual-microsecond axis.
     """
     now = tracer.env.now
     lanes: dict[str, int] = {}
     events: list[dict[str, Any]] = []
+    #: effective lane by ``span_id - 1``; parents precede their children
+    effective: list[str] = []
 
-    for span in tracer.spans:
-        lane = _effective_lane(span)
+    for record in tracer.records():
+        sid, pid, name, category, start, end, lane = record[:7]
+        if lane is None:
+            lane = effective[pid - 1] if pid is not None else f"ops/{name}"
+        effective.append(lane)
         tid = lanes.setdefault(lane, len(lanes) + 1)
-        args = {k: v for k, v in span.args.items()}
-        args["span_id"] = span.span_id
-        if span.parent is not None:
-            args["parent_id"] = span.parent.span_id
-        if not span.finished:
+        args = record_args(record)
+        args["span_id"] = sid
+        if pid is not None:
+            args["parent_id"] = pid
+        if end is None:
             args["unfinished"] = True
+            end = now
         events.append(
             {
-                "name": span.name,
-                "cat": span.category,
+                "name": name,
+                "cat": category,
                 "ph": "X",
-                "ts": span.start * 1e6,
-                "dur": span.duration(now) * 1e6,
+                "ts": start * 1e6,
+                "dur": max(0.0, end - start) * 1e6,
                 "pid": 1,
                 "tid": tid,
                 "args": args,

@@ -35,6 +35,7 @@ in the Prometheus dump (``repro metrics``).
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
@@ -68,6 +69,30 @@ _OPS: dict[str, Callable[[float, float], bool]] = {
     "<=": lambda v, t: v <= t,
 }
 
+#: The strict form of each operator: how a rule ranks two violating values
+#: (ties keep the first in sample order).
+_STRICT_OPS: dict[str, Callable[[float, float], bool]] = {
+    ">": operator.gt,
+    ">=": operator.gt,
+    "<": operator.lt,
+    "<=": operator.lt,
+}
+
+#: Timeline source readers: ``read(obj)`` is the sampled value.
+_call = operator.methodcaller("__call__")
+_read_value = operator.attrgetter("value")
+_ATTR_READERS = {
+    "qp.inflight": operator.attrgetter("inflight"),
+    "qp.unreaped": operator.attrgetter("unreaped"),
+    "io.bytes_read": operator.attrgetter("bytes_read"),
+    "io.bytes_written": operator.attrgetter("bytes_written"),
+    "link.bytes_tx": operator.attrgetter("bytes_tx"),
+    "link.bytes_rx": operator.attrgetter("bytes_rx"),
+}
+
+#: (window summary field, ``op_latency_<name>`` series) per op, in order.
+_WINDOW_SERIES = (("count", "rate"), ("p50", "p50"), ("p95", "p95"), ("p99", "p99"))
+
 
 class LatencyWindow:
     """Sliding-window latency percentiles for one op type.
@@ -76,9 +101,11 @@ class LatencyWindow:
     hub) and prunes to the trailing ``window`` seconds of *virtual* time at
     read, so a tick's p50/p95/p99 reflect recent operations, not the whole
     run.  Memory is bounded by the op rate times the window, not run length.
+    The summary is kept until a sample enters or leaves the window, so ticks
+    that see no change in an op's window do not re-sort it.
     """
 
-    __slots__ = ("op", "window", "_samples")
+    __slots__ = ("op", "window", "_samples", "_summary")
 
     def __init__(self, op: str, window: float):
         if window <= 0:
@@ -86,15 +113,18 @@ class LatencyWindow:
         self.op = op
         self.window = window
         self._samples: deque[tuple[float, float]] = deque()
+        self._summary: Optional[dict[str, float]] = None
 
     def observe(self, time: float, seconds: float) -> None:
         self._samples.append((time, seconds))
+        self._summary = None
 
     def prune(self, now: float) -> None:
         cutoff = now - self.window
         samples = self._samples
         while samples and samples[0][0] < cutoff:
             samples.popleft()
+            self._summary = None
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -105,12 +135,18 @@ class LatencyWindow:
         Tiny windows are explicitly guarded: with one sample every
         percentile is that sample, and the nearest-rank index is clamped to
         ``n - 1`` *inside* the rank computation, so p95/p99 can never index
-        past the sample count however short the window is.
+        past the sample count however short the window is.  The returned
+        dict is shared until the window changes: read it, do not modify it.
         """
         self.prune(now)
         if not self._samples:
             return None
-        values = sorted(v for _, v in self._samples)
+        if self._summary is None:
+            self._summary = self._percentiles()
+        return self._summary
+
+    def _percentiles(self) -> dict[str, float]:
+        values = sorted([v for _, v in self._samples])
         n = len(values)
         if n == 1:
             only = values[0]
@@ -285,6 +321,14 @@ class TimelineRecorder:
         self._tick_times: list[float] = []
         self._rule_states = {rule.name: _RuleState() for rule in config.rules}
         self._pending = None  # the armed timeout, if any
+        #: sampler bindings (see ``_bind_sources``), rule-watched keys, and
+        #: the source set they cover
+        self._sources: list[tuple] = []
+        self._watch: list[tuple[str, tuple[int, ...]]] = []
+        self._bound_version: Optional[tuple[int, int]] = None
+        self._window_bound: dict[str, list[tuple]] = {}
+        #: series key -> indexes of the rules whose glob matches it
+        self._rules_for: dict[str, tuple[int, ...]] = {}
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "TimelineRecorder":
@@ -340,15 +384,82 @@ class TimelineRecorder:
         window.observe(self.env.now, seconds)
 
     # -- sampling ------------------------------------------------------------
-    def _record(self, name: str, labels: Optional[dict[str, str]],
-                value: float, sampled: dict[str, float]) -> None:
+    def _bind(self, name: str, labels: Optional[dict[str, str]]) -> tuple:
+        """``(key, times.append, values.append, rules)`` for one series.
+
+        A key's series and the indexes of the rules whose glob matches it
+        are resolved once, when the key first appears.  The appends are
+        bound to the series' current arrays, so decimation (which replaces
+        them) drops every binding.
+        """
         key = series_key(name, labels)
         series = self.series.get(key)
         if series is None:
-            series = Series(name, labels)
-            self.series[key] = series
-        series.sample(self.env.now, float(value))
-        sampled[key] = float(value)
+            series = self.series[key] = Series(name, labels)
+        rules = self._rules_for.get(key)
+        if rules is None:
+            rules = self._rules_for[key] = tuple(
+                i for i, rule in enumerate(self.config.rules)
+                if key == rule.series or fnmatchcase(key, rule.series)
+            )
+        return key, series.times.append, series.values.append, rules
+
+    def _sources_version(self) -> tuple[int, int]:
+        """Changes whenever a hub source or a registry counter is added."""
+        return self.hub.version, sum(
+            len(registry.counters()) for registry in self.hub.registries.values()
+        )
+
+    def _bind_sources(self) -> None:
+        """Bind every hub source to its series, in sample order.
+
+        Each source becomes ``(read, obj, key, times.append, values.append)``
+        with ``read(obj)`` its current value.
+        """
+        hub = self.hub
+        sources: list[tuple] = []
+        watch: dict[str, tuple[int, ...]] = {}
+
+        def add(read, obj, name, labels) -> None:
+            key, times_append, values_append, rules = self._bind(name, labels)
+            sources.append((read, obj, key, times_append, values_append))
+            # rule-watched keys in first-appearance order: the order the
+            # watchdog scans a tick's values in
+            if rules and key not in watch:
+                watch[key] = rules
+
+        for _key, (name, fn, labels) in sorted(hub.gauges.items()):
+            add(_call, fn, name, labels)
+        for reg_name, registry in sorted(hub.registries.items()):
+            labels = {"registry": reg_name}
+            for cname, counter in sorted(registry.counters().items()):
+                add(_read_value, counter, cname, labels)
+        # qp.depth is the *configured* capacity (a constant); the occupancy
+        # signals are inflight slots and unreaped completions.
+        plain = (
+            (hub.queue_pairs, "qp", ("qp.inflight", "qp.unreaped")),
+            (hub.io_stats, "device", ("io.bytes_read", "io.bytes_written")),
+            (hub.links, "link", ("link.bytes_tx", "link.bytes_rx")),
+        )
+        for table, label, names in plain:
+            for obj_name, obj in sorted(table.items()):
+                labels = {label: obj_name}
+                for name in names:
+                    add(_ATTR_READERS[name], obj, name, labels)
+        self._sources = sources
+        self._watch = list(watch.items())
+        self._bound_version = self._sources_version()
+
+    def _window_bindings(self, op: str) -> list[tuple]:
+        """``(summary field, key, times.append, values.append, rules)``."""
+        bound = self._window_bound.get(op)
+        if bound is None:
+            labels = {"op": op}
+            bound = self._window_bound[op] = [
+                (stat,) + self._bind(f"op_latency_{name}", labels)
+                for stat, name in _WINDOW_SERIES
+            ]
+        return bound
 
     def sample(self) -> dict[str, float]:
         """Take one sample of every source; evaluate the watchdog rules.
@@ -356,46 +467,36 @@ class TimelineRecorder:
         Returns the flat ``{series key: value}`` snapshot of this tick.
         Pure state reads — no simulation events, no resource usage.
         """
-        hub = self.hub
+        if self._bound_version != self._sources_version():
+            self._bind_sources()
         now = self.env.now
         sampled: dict[str, float] = {}
-
-        for _key, (name, fn, labels) in sorted(hub.gauges.items()):
-            self._record(name, labels, fn(), sampled)
-        for reg_name, registry in sorted(hub.registries.items()):
-            labels = {"registry": reg_name}
-            for cname, value in sorted(registry.counter_values().items()):
-                self._record(cname, labels, value, sampled)
-        for qp_name, qp in sorted(hub.queue_pairs.items()):
-            # qp.depth is the *configured* capacity (a constant); the
-            # occupancy signals are inflight slots and unreaped completions.
-            labels = {"qp": qp_name}
-            self._record("qp.inflight", labels, float(qp.inflight), sampled)
-            self._record("qp.unreaped", labels, float(qp.unreaped), sampled)
-        for dev_name, io in sorted(hub.io_stats.items()):
-            labels = {"device": dev_name}
-            self._record("io.bytes_read", labels, float(io.bytes_read), sampled)
-            self._record(
-                "io.bytes_written", labels, float(io.bytes_written), sampled
-            )
-        for link_name, link in sorted(hub.links.items()):
-            labels = {"link": link_name}
-            self._record("link.bytes_tx", labels, float(link.bytes_tx), sampled)
-            self._record("link.bytes_rx", labels, float(link.bytes_rx), sampled)
+        # Ticks run on the non-decreasing virtual clock, so samples append
+        # without Series.sample's ordering check.
+        for read, obj, key, times_append, values_append in self._sources:
+            value = float(read(obj))
+            times_append(now)
+            values_append(value)
+            sampled[key] = value
+        window_watch = []
         for op, window in sorted(self.windows.items()):
             summary = window.summary(now)
             if summary is None:
                 continue
-            labels = {"op": op}
-            self._record("op_latency_rate", labels, summary["count"], sampled)
-            for q in ("p50", "p95", "p99"):
-                self._record(
-                    f"op_latency_{q}", labels, summary[q], sampled
-                )
+            for stat, key, times_append, values_append, rules in (
+                self._window_bindings(op)
+            ):
+                value = float(summary[stat])
+                times_append(now)
+                values_append(value)
+                sampled[key] = value
+                if rules:
+                    window_watch.append((key, rules))
 
         self.ticks += 1
         self._tick_times.append(now)
-        self._evaluate_rules(now, sampled)
+        watch = self._watch + window_watch if window_watch else self._watch
+        self._evaluate_rules(now, self._worst(sampled, watch))
         if len(self._tick_times) >= self.config.max_ticks:
             self._decimate()
         return sampled
@@ -406,20 +507,37 @@ class TimelineRecorder:
             series.decimate()
         self._tick_times = self._tick_times[::2]
         self._interval *= 2
+        # the sampler's appends were bound to the replaced arrays
+        self._bound_version = None
+        self._window_bound.clear()
 
     # -- watchdog ------------------------------------------------------------
-    def _evaluate_rules(self, now: float, sampled: dict[str, float]) -> None:
-        for rule in self.config.rules:
-            state = self._rule_states[rule.name]
-            worst: Optional[tuple[str, float]] = None
-            for key, value in sampled.items():
-                if key != rule.series and not fnmatchcase(key, rule.series):
-                    continue
+    def _worst(
+        self, sampled: dict[str, float], watch: list[tuple[str, tuple[int, ...]]]
+    ) -> list[Optional[tuple[str, float]]]:
+        """Per rule, the violating ``(key, value)`` furthest past threshold.
+
+        "Furthest" follows the rule's own direction, compared strictly, so
+        the first violating series in sample order wins ties — for ``>=`` /
+        ``<=`` rules as much as for ``>`` / ``<``.
+        """
+        rules = self.config.rules
+        worst: list[Optional[tuple[str, float]]] = [None] * len(rules)
+        for key, rule_ids in watch:
+            value = sampled[key]
+            for i in rule_ids:
+                rule = rules[i]
                 if rule.violated(value):
-                    # "worst" follows the rule's own direction: the value
-                    # furthest past the threshold (first match wins ties).
-                    if worst is None or _OPS[rule.op](value, worst[1]):
-                        worst = (key, value)
+                    best = worst[i]
+                    if best is None or _STRICT_OPS[rule.op](value, best[1]):
+                        worst[i] = (key, value)
+        return worst
+
+    def _evaluate_rules(
+        self, now: float, worst_by_rule: list[Optional[tuple[str, float]]]
+    ) -> None:
+        for rule, worst in zip(self.config.rules, worst_by_rule):
+            state = self._rule_states[rule.name]
             if worst is None:
                 if state.firing:
                     state.firing = False

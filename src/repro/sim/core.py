@@ -183,7 +183,9 @@ class Process(Event):
     generator raises, the process-event fails with that exception.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    #: ``__weakref__`` lets observers and tests watch a process's lifetime
+    #: without keeping it alive
+    __slots__ = ("_generator", "_target", "name", "__weakref__")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):

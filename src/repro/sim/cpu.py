@@ -63,6 +63,9 @@ class CpuPool:
         #: cumulative busy seconds per core, for utilization reporting
         self.busy_time = [0.0] * n_cores
         self._all_cores = list(range(n_cores))
+        #: trace span name and per-core lanes, built once instead of per span
+        self._span_name = f"cpu.{name}"
+        self._core_lanes = [f"{name}/core{i}" for i in range(n_cores)]
         #: memoized sorted core lists per distinct ``cores=`` argument —
         #: thread contexts pass the same pinned set on every execute()
         self._allowed_cache: dict[tuple, list[int]] = {}
@@ -208,14 +211,13 @@ class CpuPool:
                         critpath.release(resource, token)
                 remaining -= slice_len
             return
-        span = None
+        # Traced: one leaf span per call; nothing nests under a core claim.
+        span = tracer.leaf(
+            self._span_name, "cpu", pool=self.name, run=float(seconds)
+        )
         wait = 0.0
-        if tracer is not None:
-            span = tracer.start(
-                f"cpu.{self.name}", "cpu", pool=self.name, run=float(seconds)
-            )
+        remaining = float(seconds)
         try:
-            remaining = float(seconds)
             if remaining == 0.0:
                 # Zero-cost work still passes through the queue once so that
                 # ordering against other work on the core is preserved.
@@ -229,8 +231,7 @@ class CpuPool:
                     )
                     critpath.release(resource, token)
                 wait += self.env.now - t0
-                if span is not None:
-                    span.lane = f"{self.name}/core{idx}"
+                span.lane = self._core_lanes[idx]
                 self._cores[idx].release(req)
                 return
             while remaining > 0:
@@ -243,8 +244,8 @@ class CpuPool:
                         actor_op, actor_root, token,
                     )
                 wait += self.env.now - t0
-                if span is not None and span.lane is None:
-                    span.lane = f"{self.name}/core{idx}"
+                if span.lane is None:
+                    span.lane = self._core_lanes[idx]
                 slice_len = min(remaining, self.timeslice)
                 try:
                     yield self.env.timeout(slice_len)
@@ -255,8 +256,9 @@ class CpuPool:
                         critpath.release(resource, token)
                 remaining -= slice_len
         finally:
-            if span is not None:
-                tracer.finish(span, wait=wait, run=float(seconds) - remaining)
+            span.args["wait"] = wait
+            span.args["run"] = float(seconds) - remaining
+            tracer.finish(span)
 
     def utilization(self, up_to: Optional[float] = None) -> list[float]:
         """Per-core busy fraction of elapsed simulated time."""

@@ -11,6 +11,7 @@ import bisect
 import math
 import random
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -216,6 +217,8 @@ class Series:
     a :class:`Series` carries a label set (``{"qp": "host-kv"}``) so many
     instances of one metric stay distinguishable in exports, and a canonical
     flat ``key`` (``qp.depth{qp=host-kv}``) that alert rules match against.
+    Samples are stored as C doubles (``array("d")``): a long timeline holds
+    no float objects for the cyclic GC to visit.
     """
 
     __slots__ = ("name", "labels", "times", "values")
@@ -223,8 +226,8 @@ class Series:
     def __init__(self, name: str, labels: Optional[dict[str, str]] = None):
         self.name = name
         self.labels: dict[str, str] = dict(labels) if labels else {}
-        self.times: list[float] = []
-        self.values: list[float] = []
+        self.times = array("d")
+        self.values = array("d")
 
     @property
     def key(self) -> str:
@@ -305,6 +308,10 @@ class StatsRegistry:
             s = TimeSeries(self._full(name))
             self._series[name] = s
         return s
+
+    def counters(self) -> dict[str, Counter]:
+        """Unprefixed counter name -> live :class:`Counter` (read only)."""
+        return self._counters
 
     def counter_values(self) -> dict[str, float]:
         """Unprefixed counter name -> value (for reports)."""

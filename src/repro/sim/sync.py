@@ -121,7 +121,7 @@ class BoundedQueue:
             else:
                 # The blocked wait is backpressure from the consumer; record
                 # it as queue time on the producer's span tree.
-                with tracer.span("queue.put_wait", "queue", capacity=self.capacity):
+                with tracer.leaf("queue.put_wait", "queue", capacity=self.capacity):
                     yield slot
             if begun is not None:
                 critpath.wait_end(self.name, "queue", begun)
@@ -140,7 +140,7 @@ class BoundedQueue:
             if tracer is None:
                 yield ready
             else:
-                with tracer.span("queue.get_wait", "queue", capacity=self.capacity):
+                with tracer.leaf("queue.get_wait", "queue", capacity=self.capacity):
                     yield ready
             if begun is not None:
                 critpath.wait_end(self.name, "queue", begun)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Generator
 
 from repro.errors import InvalidAddressError, StorageError
-from repro.obs.trace import trace_span
+from repro.obs.trace import trace_leaf
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
 from repro.sim.sync import AllOf
@@ -102,7 +102,7 @@ class ConventionalSsd:
         self, channel: int, seconds: float, op: str = "io", nbytes: int = 0
     ) -> Generator:
         res = self._channels[channel]
-        with trace_span(
+        with trace_leaf(
             self.env,
             f"nand.{op}",
             "flash",
@@ -203,5 +203,5 @@ class ConventionalSsd:
         self.ftl.trim_pages(lpns)
         for lpn in lpns:
             self._pages.pop(int(lpn), None)
-        with trace_span(self.env, "nand.trim", "flash", busy=self.latency.command_overhead):
+        with trace_leaf(self.env, "nand.trim", "flash", busy=self.latency.command_overhead):
             yield self.env.timeout(self.latency.command_overhead)

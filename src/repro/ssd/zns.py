@@ -16,10 +16,9 @@ from collections.abc import Generator
 
 from repro.errors import StorageError
 from repro.obs.journal import journal_event
-from repro.ssd.faults import PowerCut
-from repro.obs.trace import trace_span
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
+from repro.ssd.faults import PowerCut
 from repro.ssd.geometry import SsdGeometry
 from repro.ssd.latency import NandLatencyModel
 from repro.ssd.metrics import IoStats
@@ -73,8 +72,7 @@ class ZnsSsd:
                 yield self.env.timeout(seconds)
             self.stats.record_channel_busy(channel, seconds)
             return
-        with trace_span(
-            self.env,
+        with self.env.tracer.leaf(
             f"nand.{op}",
             "flash",
             lane=f"{self.name}/ch{channel}",
@@ -84,8 +82,7 @@ class ZnsSsd:
             with res.request() as req:
                 t0 = self.env.now
                 yield req
-                if span is not None:
-                    span.args["wait"] = self.env.now - t0
+                span.args["wait"] = self.env.now - t0
                 yield self.env.timeout(seconds)
         self.stats.record_channel_busy(channel, seconds)
 

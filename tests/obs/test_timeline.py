@@ -282,6 +282,29 @@ def test_alert_rule_glob_matches_labeled_series():
     assert alert.value == 60.0
 
 
+@pytest.mark.parametrize("op", [">=", ">"])
+def test_tied_series_first_in_sample_order_names_the_alert(op):
+    """Ties keep the first violating series in sample order, for inclusive
+    comparisons as much as strict ones."""
+    env = Environment()
+    hub = MetricsHub()
+
+    class _Qp:
+        inflight = 48
+        unreaped = 0
+
+    hub.register_queue_pair("host-kv", _Qp())
+    hub.register_queue_pair("host-kv-1", _Qp())
+    rule = AlertRule("qp-backlog", "qp.inflight{qp=host-kv*}", op, 47.0)
+    recorder = TimelineRecorder(
+        env, hub, TimelineConfig(interval=1e-3, rules=(rule,))
+    )
+    recorder.start()
+    (alert,) = recorder.alerts
+    assert alert.series == "qp.inflight{qp=host-kv}"
+    assert alert.value == 48.0
+
+
 def test_default_rules_are_valid():
     names = [r.name for r in DEFAULT_RULES]
     assert len(names) == len(set(names))
